@@ -57,7 +57,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bench.perf import EXIT_BASELINE_UNUSABLE, compare_to_baseline
 from repro.core.reports import report_to_dict
-from repro.core.trace import analyze_trace, save_trace
+from repro.core.trace import (analyze_trace, analyze_trace_with_stats,
+                              save_trace)
 from repro.errors import GuestCrash, OutOfMemory, ReproError, SimDeadlock
 from repro.faults.plan import FaultPlan, builtin_plan
 from repro.faults.inject import inject_plan
@@ -688,26 +689,42 @@ def run_kill_chaos(traces: List[Tuple[str, str]], *, shards: int,
 
     ``kinds`` filters the mid-upload plans by fault kind (the nightly
     matrix runs one kind per leg); the mid-analysis round runs whenever
-    ``kill-server`` is in scope, since it models the same SIGKILL.
+    ``kill-server`` is in scope, since it models the same SIGKILL.  It
+    wedges the job on its first analysis chunk, so it runs on the traces
+    that have one: a trace whose every candidate pair is stack-local
+    (fib) forms no pair and leaves nothing to wedge.  At least one trace
+    must qualify.
     """
     runs: List[dict] = []
     violations: List[str] = []
     active = [(spec, attacks) for spec, attacks in KILL_PLANS
               if not kinds or spec.split("@")[0] in kinds]
+    mid_analysis = not kinds or "kill-server" in kinds
+    wedged = 0
     for name, path in traces:
         lines = read_trace_lines(path)
-        expected = json.dumps(
-            [report_to_dict(r) for r in analyze_trace(path)], sort_keys=True)
+        reports, stats = analyze_trace_with_stats(path, mode="parallel")
+        expected = json.dumps([report_to_dict(r) for r in reports],
+                              sort_keys=True)
         for spec, attacks in active:
             outcome = _one_kill_session(name, lines, spec, shards, expected)
             outcome["attacks"] = attacks
             violations.extend(outcome.pop("violations"))
             runs.append(outcome)
-        if not kinds or "kill-server" in kinds:
-            outcome = _one_kill_mid_analysis(name, lines, shards, expected)
-            outcome["attacks"] = "SIGKILL while the analysis job runs"
-            violations.extend(outcome.pop("violations"))
-            runs.append(outcome)
+        if not mid_analysis:
+            continue
+        if not stats["analysis"]["resilience"]["chunks"]["total"]:
+            runs.append({"trace": name, "plan": "kill-mid-analysis",
+                         "skipped": "no analysis chunk to wedge on"})
+            continue
+        wedged += 1
+        outcome = _one_kill_mid_analysis(name, lines, shards, expected)
+        outcome["attacks"] = "SIGKILL while the analysis job runs"
+        violations.extend(outcome.pop("violations"))
+        runs.append(outcome)
+    if mid_analysis and traces and not wedged:
+        violations.append("kill-mid-analysis: no trace has an analysis "
+                          "chunk to wedge on")
     return {
         "plans": [spec for spec, _ in active],
         "runs": runs,
@@ -858,7 +875,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.faults or args.kill_chaos or args.overload:
         chaos = doc["chaos"]
         label = doc["bench"]
-        sessions = len(chaos.get("runs", [])) or chaos.get("probes", 0)
+        sessions = sum(1 for r in chaos.get("runs", [])
+                       if "skipped" not in r) or chaos.get("probes", 0)
         print(f"{label}: {sessions} fault sessions, "
               f"{len(chaos['violations'])} violation(s)")
         for v in chaos["violations"]:

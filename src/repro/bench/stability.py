@@ -6,10 +6,13 @@ Table II reports Archer's LULESH counts as a *range* over runs.  This
 harness quantifies that: it reruns every Table I cell over N seeds and
 reports, per (benchmark, tool), the set of verdicts observed.
 
-The reproduction's claim, checked by ``tests/bench/test_stability.py``:
-segment-graph tools (TaskSanitizer, ROMP, Taskgrind) are schedule-stable —
-their analysis is of the logical graph — while only Archer, a happens-before
-detector over the *observed* ordering, flips.
+``tests/bench/test_stability.py`` checks, over seeds 0–4 only, that the
+segment-graph tools (TaskSanitizer, ROMP, Taskgrind) keep one verdict per
+cell — their analysis is of the logical graph — while Archer, a
+happens-before detector over the *observed* ordering, flips.  That is not
+a claim for all seeds: ``perfbench/README.md`` records Taskgrind FP cells
+at 4 threads that come out TN at other machine seeds, where the schedule
+cuts the segment graph differently.
 
 Usage: ``python -m repro.bench.stability [--seeds 8] [--tools archer]``
 """

@@ -27,7 +27,13 @@ analysis instead of discarding every completed chunk.
 The passes produce *raw* :class:`RaceCandidate` conflicts; the Section IV
 suppressions are applied afterwards by
 :class:`repro.core.suppress.SuppressionEngine` so ablations can toggle them
-independently.
+independently.  The one exception is the segment-local (stack) rule: given
+the engine, the indexed and supervised passes split every access interval
+at the segment's stack-local range and never pair two stack-local pieces.
+Such a pair's whole conflict set would lie in bytes the rule suppresses on
+both sides, so the engine would drop it anyway; pairs that also conflict on
+shared bytes are still formed, with their full conflict set, and filtered as
+before.  The naive pass stays unpruned as the oracle.
 """
 
 from __future__ import annotations
@@ -36,12 +42,16 @@ import concurrent.futures
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.core.segments import Segment, SegmentGraph
 from repro.faults.inject import get_injector
 from repro.obs.metrics import get_registry
 from repro.util.intervals import IntervalSet
+
+if TYPE_CHECKING:
+    from repro.core.suppress import SuppressionEngine
 
 _FAULTS = get_injector()
 
@@ -119,33 +129,75 @@ def _record_pass(reg, mode: str, checked: int, ordered: int,
     reg.gauge("analysis.last_mode").set(mode)
 
 
-def _write_index(segs: Sequence[Segment]
-                 ) -> List[Tuple[int, int, int, bool]]:
-    """Flatten every access interval into (lo, hi, seg_index, is_write)."""
-    events: List[Tuple[int, int, int, bool]] = []
+def _access_events(segs: Sequence[Segment],
+                   local: Optional[Sequence[Optional[Tuple[int, int]]]]
+                   ) -> List[Tuple[int, int, int, bool, bool]]:
+    """Flatten every access interval into (lo, hi, seg_index, is_write,
+    is_local), sorted by address.
+
+    With per-segment ``local`` ranges, an interval is cut at its segment's
+    range into a stack-local piece and up to two shared pieces.
+    """
+    events: List[Tuple[int, int, int, bool, bool]] = []
+    add = events.append
     for idx, seg in enumerate(segs):
-        for iv in seg.writes:
-            events.append((iv.lo, iv.hi, idx, True))
-        for iv in seg.reads:
-            events.append((iv.lo, iv.hi, idx, False))
+        rng = local[idx] if local is not None else None
+        for tree, is_write in ((seg.writes, True), (seg.reads, False)):
+            if rng is None:
+                for iv in tree:
+                    add((iv.lo, iv.hi, idx, is_write, False))
+                continue
+            llo, lhi = rng
+            for iv in tree:
+                lo, hi = iv.lo, iv.hi
+                if hi <= llo or lhi <= lo:
+                    add((lo, hi, idx, is_write, False))
+                    continue
+                if lo < llo:
+                    add((lo, llo, idx, is_write, False))
+                add((max(lo, llo), min(hi, lhi), idx, is_write, True))
+                if lhi < hi:
+                    add((lhi, hi, idx, is_write, False))
     events.sort(key=lambda e: (e[0], e[1]))
     return events
 
 
-def _candidate_pairs(segs: Sequence[Segment]) -> Set[Tuple[int, int]]:
+def _candidate_pairs(segs: Sequence[Segment],
+                     suppression: Optional["SuppressionEngine"] = None
+                     ) -> Set[Tuple[int, int]]:
     """Segment index pairs that share at least one byte with >=1 write.
 
-    Sweep over sorted intervals with an active set pruned by end address.
+    Sweep over sorted intervals with active sets pruned by end address.
+    With a ``suppression`` engine whose stack rule is on, overlaps between
+    two stack-local pieces (:meth:`SuppressionEngine.stack_local_range`) are
+    skipped: a new local piece is checked against active shared pieces only,
+    so a pair is emitted only if it conflicts on a byte that is shared on at
+    least one side.
     """
-    events = _write_index(segs)
+    local = None
+    if suppression is not None:
+        local = [suppression.stack_local_range(s) for s in segs]
+        if not any(local):
+            local = None
     pairs: Set[Tuple[int, int]] = set()
-    active: List[Tuple[int, int, int, bool]] = []     # (hi, lo, idx, is_write)
-    for lo, hi, idx, is_write in events:
-        active = [a for a in active if a[0] > lo]     # drop non-overlapping
-        for ahi, alo, aidx, awrite in active:
+    shared: List[Tuple[int, int, bool]] = []      # (hi, idx, is_write)
+    withheld: List[Tuple[int, int, bool]] = []    # stack-local pieces
+    n_local = 0
+    for lo, hi, idx, is_write, is_local in _access_events(segs, local):
+        shared = [a for a in shared if a[0] > lo]     # drop non-overlapping
+        hits = shared
+        if is_local:
+            n_local += 1
+        elif withheld:
+            # locals are pruned lazily, only when a shared piece scans them
+            withheld = [a for a in withheld if a[0] > lo]
+            hits = shared + withheld
+        for _ahi, aidx, awrite in hits:
             if aidx != idx and (is_write or awrite):
                 pairs.add((aidx, idx) if aidx < idx else (idx, aidx))
-        active.append((hi, lo, idx, is_write))
+        (withheld if is_local else shared).append((hi, idx, is_write))
+    if local is not None:
+        suppression.book_pruned(n_local)
     return pairs
 
 
@@ -162,12 +214,17 @@ def _resolve_kernel(reg, kernel: str, graph: SegmentGraph,
 
 
 def find_races_indexed(graph: SegmentGraph, *,
-                       kernel: str = "auto") -> List[RaceCandidate]:
+                       kernel: str = "auto",
+                       suppression: Optional["SuppressionEngine"] = None
+                       ) -> List[RaceCandidate]:
     """Address-indexed Algorithm 1 (same result set as the naive pass).
 
     ``kernel`` selects the pair-check backend: ``python`` (the oracle loop),
     ``numpy`` (batched array sweeps, :mod:`repro.core.npkernel`) or ``auto``.
-    Both kernels produce identical candidate lists.
+    Both kernels produce identical candidate lists.  With ``suppression``,
+    pairs conflicting only on bytes stack-local to both segments are never
+    formed (see :func:`_candidate_pairs`); after ``suppression.filter_all``
+    the result equals the naive pass's after the same filter.
     """
     reg = get_registry()
     out: List[RaceCandidate] = []
@@ -176,7 +233,7 @@ def find_races_indexed(graph: SegmentGraph, *,
             graph.prepare_queries()
         segs = [s for s in graph.segments if s.has_accesses]
         with reg.phase("analysis.candidates"):
-            pairs = _candidate_pairs(segs)
+            pairs = _candidate_pairs(segs, suppression)
         reg.counter("analysis.candidate_pairs").inc(len(pairs))
         ordered = 0
         used = _resolve_kernel(reg, kernel, graph, len(pairs))
@@ -281,8 +338,13 @@ def find_races_supervised(graph: SegmentGraph, *,
                           deadline_s: Optional[float] = None,
                           max_retries: int = 2,
                           backoff_s: float = 0.01,
-                          kernel: str = "auto") -> PartialAnalysis:
+                          kernel: str = "auto",
+                          suppression: Optional["SuppressionEngine"] = None
+                          ) -> PartialAnalysis:
     """The parallel pass under supervision.
+
+    ``suppression`` prunes candidate generation as in
+    :func:`find_races_indexed`.
 
     Every chunk is attempted up to ``1 + max_retries`` times with
     exponential backoff between attempts; a chunk whose worker raises (or
@@ -304,7 +366,7 @@ def find_races_supervised(graph: SegmentGraph, *,
                 s.reads_set()
                 s.writes_set()
         with reg.phase("analysis.candidates"):
-            pairs = sorted(_candidate_pairs(segs))
+            pairs = sorted(_candidate_pairs(segs, suppression))
         reg.counter("analysis.candidate_pairs").inc(len(pairs))
         result.pairs_total = len(pairs)
         used = _resolve_kernel(reg, kernel, graph, len(pairs))

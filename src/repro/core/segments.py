@@ -200,7 +200,7 @@ class Segment:
                  "_reads", "_writes", "_pend_r", "_pend_w", "_rset", "_wset",
                  "_nparr", "loc_samples", "sp_at_start",
                  "stack_bounds", "tls_snapshot", "label_loc", "seq_opened",
-                 "seq_closed")
+                 "seq_closed", "saved_label")
 
     def __init__(self, sid: int, thread_id: int, task: Optional[Task],
                  kind: str, *, virtual: bool = False,
@@ -228,6 +228,8 @@ class Segment:
         self.label_loc = label_loc
         self.seq_opened = -1
         self.seq_closed = -1
+        #: label restored from a trace (offline segments have no task)
+        self.saved_label: Optional[str] = None
 
     # -- recording ---------------------------------------------------------
 
@@ -370,6 +372,8 @@ class Segment:
             return str(self.label_loc)
         if self.task is not None:
             return self.task.label()
+        if self.saved_label is not None:
+            return self.saved_label
         return f"{self.kind}#{self.id}"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

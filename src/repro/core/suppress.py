@@ -23,6 +23,14 @@ quantify each one's contribution:
    pointer registered at segment start (i.e. in a frame pushed during the
    segment itself).  A conflict in the *parent's* frame is not suppressed —
    the residual multi-thread TMB false positives the paper reports.
+
+The segment-local rule is a per-(address, segment) predicate, so it is
+applied in two places that share :meth:`SuppressionEngine.stack_local_range`:
+candidate generation (:func:`repro.core.analysis._candidate_pairs`) never
+pairs two segments on bytes that are stack-local to both, and
+:meth:`SuppressionEngine.filter_all` drops the stack-local pieces of the
+pairs that do get formed because they also conflict on shared bytes.  TLS
+is applied at filter time only.
 """
 
 from __future__ import annotations
@@ -66,6 +74,9 @@ class SuppressionStats:
 
     tls_suppressed: int = 0
     stack_suppressed: int = 0
+    #: stack-local access intervals withheld from pairing (never formed
+    #: into candidates, so never counted in ``stack_suppressed``)
+    stack_pruned: int = 0
     survived: int = 0
     fully_suppressed_pairs: int = 0
     tls_gen_warnings: int = 0
@@ -133,8 +144,7 @@ class SuppressionEngine:
         if region is None:
             return False
         if region.kind == RegionKind.STACK and self.config.suppress_stack:
-            if self._stack_local(piece, s1, region) and \
-                    self._stack_local(piece, s2, region):
+            if self._stack_local(piece, s1) and self._stack_local(piece, s2):
                 self.stats.stack_suppressed += 1
                 if _PROF.enabled:
                     _PROF.count("suppress.stack", s1.label())
@@ -155,22 +165,39 @@ class SuppressionEngine:
                 return True
         return False
 
-    @staticmethod
-    def _stack_local(piece: Interval, seg: Segment, region) -> bool:
-        """Did ``seg`` only reach ``piece`` through frames it pushed itself?
+    def stack_local_range(self, seg: Segment) -> Optional[Tuple[int, int]]:
+        """The ``[lo, hi)`` bytes ``seg`` reached only through frames it
+        pushed itself, or ``None`` when the stack rule is off or ``seg`` has
+        no such bytes.
 
         Stacks grow downward: an address *below* the stack pointer registered
         at segment start belongs to a frame created inside the segment.  The
-        segment must also have executed on the thread owning the stack —
-        otherwise it reached the bytes through a shared pointer and the
-        conflict is real (TMB 1001-stack.1).
+        range must lie in a stack region owned by the segment's thread —
+        otherwise the segment reached the bytes through a shared pointer and
+        a conflict there is real (TMB 1001-stack.1).  A conflict byte is
+        suppressed iff it lies in both segments' ranges.
         """
-        if region.owner_thread != seg.thread_id:
-            return False
+        if not self.config.suppress_stack:
+            return None
         lo, hi = seg.stack_bounds
-        if not (lo <= piece.lo and piece.hi <= hi):
-            return False
-        return piece.hi <= seg.sp_at_start
+        hi = min(hi, seg.sp_at_start)
+        if lo >= hi:
+            return None
+        region = self.machine.space.region_at(lo)
+        if region is None or region.kind != RegionKind.STACK or \
+                region.owner_thread != seg.thread_id or region.end < hi:
+            return None
+        return lo, hi
+
+    def _stack_local(self, piece: Interval, seg: Segment) -> bool:
+        """Did ``seg`` only reach ``piece`` through frames it pushed itself?"""
+        rng = self.stack_local_range(seg)
+        return rng is not None and rng[0] <= piece.lo and piece.hi <= rng[1]
+
+    def book_pruned(self, intervals: int) -> None:
+        """Account stack-local intervals candidate generation withheld."""
+        self.stats.stack_pruned += intervals
+        get_registry().counter("suppress.pruned.stack").inc(intervals)
 
     def _tls_suppressed(self, piece: Interval, s1: Segment,
                         s2: Segment) -> bool:
@@ -218,6 +245,7 @@ class SuppressionEngine:
         return {
             "tls": s.tls_suppressed,
             "stack": s.stack_suppressed,
+            "pruned_stack": s.stack_pruned,
             "survived": s.survived,
             "fully_suppressed_pairs": s.fully_suppressed_pairs,
             "tls_gen_warnings": s.tls_gen_warnings,

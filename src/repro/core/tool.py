@@ -397,11 +397,13 @@ class TaskgrindTool(Tool):
                     graph, workers=self.options.analysis_workers,
                     deadline_s=self.options.analysis_deadline_s,
                     max_retries=self.options.analysis_max_retries,
-                    kernel=self.options.analysis_kernel)
+                    kernel=self.options.analysis_kernel,
+                    suppression=self.suppressor)
                 candidates = self.partial_analysis.candidates
             else:
                 candidates = find_races_indexed(
-                    graph, kernel=self.options.analysis_kernel)
+                    graph, kernel=self.options.analysis_kernel,
+                    suppression=self.suppressor)
             self.raw_candidates = len(candidates)
             flt = self.replay_filter
             if flt is not None and flt.pairs:

@@ -361,6 +361,8 @@ def _load_segment(graph: SegmentGraph, sd: dict) -> None:
         label_loc=_loc_from_list(sd["label_loc"]))
     assert seg.id == sd["id"], "trace ids must be dense and ordered"
     seg.open = False
+    # the live label names the segment's task, which a trace does not keep
+    seg.saved_label = sd.get("label")
     for lo, hi in sd["reads"]:
         seg.reads.insert(lo, hi)
     for lo, hi in sd["writes"]:
@@ -792,20 +794,21 @@ def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
     from repro.obs.tracer import get_tracer
     reg = get_registry()
     partial: Optional[PartialAnalysis] = None
+    config = SuppressionConfig(
+        suppress_tls=supp_flags.get("suppress_tls", True),
+        suppress_stack=supp_flags.get("suppress_stack", True))
+    engine = SuppressionEngine(view, config)
     if mode == "naive":
         candidates = find_races_naive(graph)
     elif mode == "parallel":
         partial = find_races_supervised(graph, workers=workers,
                                         deadline_s=deadline_s,
                                         max_retries=max_retries,
-                                        kernel=kernel)
+                                        kernel=kernel, suppression=engine)
         candidates = partial.candidates
     else:
-        candidates = find_races_indexed(graph, kernel=kernel)
-    config = SuppressionConfig(
-        suppress_tls=supp_flags.get("suppress_tls", True),
-        suppress_stack=supp_flags.get("suppress_stack", True))
-    engine = SuppressionEngine(view, config)
+        candidates = find_races_indexed(graph, kernel=kernel,
+                                        suppression=engine)
     surviving = engine.filter_all(candidates)
     with reg.phase("report"):
         reports = [build_report(view, c) for c in surviving]

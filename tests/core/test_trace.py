@@ -64,6 +64,21 @@ class TestRoundTrip:
         assert offline[0].block_size == tool.reports[0].block_size
         assert str(offline[0].alloc_site) == str(tool.reports[0].alloc_site)
 
+    def test_implicit_task_labels_survive(self, tmp_path):
+        """Offline reports name implicit tasks as the live run does
+        (``task#1 (implicit)``, not the bare ``implicit#2``)."""
+        from repro.bench.runner import _find_program, run_benchmark
+        from repro.core.reports import reports_to_json
+        program = _find_program("100-task-reference-orig")
+        live = run_benchmark(program, "taskgrind", nthreads=4,
+                             keep_machine=True)
+        assert live.reports
+        path = tmp_path / "implicit.json"
+        save_trace(live.tool_obj, live.machine, str(path))
+        offline = reports_to_json(analyze_trace(str(path)))
+        assert "(implicit" in offline
+        assert offline == reports_to_json(live.reports)
+
     def test_all_modes_agree_offline(self, trace_path):
         path, _ = trace_path
         counts = {mode: len(analyze_trace(path, mode=mode))

@@ -218,7 +218,8 @@ class TestStatsDocuments:
         # Section IV's four suppression classes each have a counter
         supp = run_racy().stats["suppress"]
         for key in ("ignore_list", "recycling_retained_blocks", "tls",
-                    "stack", "survived", "fully_suppressed_pairs",
+                    "stack", "pruned_stack", "survived",
+                    "fully_suppressed_pairs",
                     "file_suppressed"):
             assert key in supp, f"missing suppress.{key}"
         # free() is replaced with a no-op, so DRB heap blocks are retained
