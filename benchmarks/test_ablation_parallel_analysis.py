@@ -1,17 +1,19 @@
-"""A1 — ablation: sequential vs parallel determinacy-race pass.
+"""A1 — ablation: the determinacy-race passes side by side.
 
 The paper's Section VII: *"The determinacy race post-processing analysis is
 an embarrassingly parallel algorithm, but it is currently run sequentially
 within the Valgrind framework."*  This bench builds a large synthetic segment
 graph and compares the faithful O(n^2) pass, the address-indexed pass, and
-the thread-parallel pass — asserting identical results and measuring the
-speedups a parallel pass would buy.
+the supervised pass (the indexed pass in retried, quarantinable chunks, the
+``parallel`` analysis mode) — asserting identical results and measuring what
+the chunk supervision costs.  The chunks run sequentially: under the GIL a
+thread pool over them was slower than one thread.
 """
 
 import pytest
 
 from repro.core.analysis import (find_races_indexed, find_races_naive,
-                                 find_races_parallel)
+                                 find_races_supervised)
 from repro.core.segments import SegmentGraph
 from repro.util.rng import RngHub
 
@@ -56,8 +58,8 @@ def test_bench_indexed(benchmark, graph, expected):
         expected
 
 
-def test_bench_parallel(benchmark, graph, expected):
-    cands = benchmark(find_races_parallel, graph, workers=4)
+def test_bench_supervised(benchmark, graph, expected):
+    cands = benchmark(lambda: find_races_supervised(graph).candidates)
     assert sorted((c.key(), tuple(c.ranges.pairs())) for c in cands) == \
         expected
 

@@ -8,8 +8,7 @@ repro.bench.perf`` / ``BENCH_perf.json``): for every DRB and TMB program,
   (``fast_record=False, hb_mode='bitmask'``) produce identical raw
   candidate sets and identical post-suppression reports;
 * on the recorded graph, ``find_races_naive`` / ``find_races_indexed`` /
-  ``find_races_parallel`` (several worker counts) agree pair-for-pair,
-  byte-for-byte.
+  ``find_races_supervised`` agree pair-for-pair, byte-for-byte.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import pytest
 from repro.bench import drb, tmb
 from repro.bench.runner import run_benchmark
 from repro.core.analysis import (find_races_indexed, find_races_naive,
-                                 find_races_parallel)
+                                 find_races_supervised)
 from repro.core.tool import TaskgrindOptions
 
 SEED = 2                      # the Table I harness seed
@@ -65,8 +64,7 @@ def test_analysis_pass_parity(program, nthreads):
     graph = res.tool_obj.builder.graph
     naive = _canon(find_races_naive(graph))
     assert _canon(find_races_indexed(graph)) == naive
-    for workers in (1, 4):
-        assert _canon(find_races_parallel(graph, workers=workers)) == naive
+    assert _canon(find_races_supervised(graph).candidates) == naive
 
 
 def test_checked_mode_sweep():

@@ -3,8 +3,8 @@
 
 The paper's Section VII notes the determinacy-race pass is embarrassingly
 parallel but runs sequentially inside Valgrind.  The reproduction's answer:
-dump the segment graph at exit and run Algorithm 1 *outside* the tool —
-sequentially, thread-parallel, or on another machine.
+dump the segment graph at exit and run Algorithm 1 *outside* the tool, in
+another process or on another machine.
 
 This example records a racy LULESH run to a trace file, then analyzes it
 offline in all three modes and shows they agree.
@@ -45,7 +45,7 @@ def main() -> None:
     # 2. offline analysis, three ways
     for mode in ("naive", "indexed", "parallel"):
         t0 = time.perf_counter()
-        reports = analyze_trace(str(trace_path), mode=mode, workers=4)
+        reports = analyze_trace(str(trace_path), mode=mode)
         dt = (time.perf_counter() - t0) * 1000
         print(f"  {mode:8s}: {len(reports)} race(s) in {dt:6.1f} ms")
 

@@ -218,12 +218,11 @@ def _analyze_once(graph: SegmentGraph, *, legacy: bool) -> List[RaceCandidate]:
                 out.append(RaceCandidate(s1, s2, ranges))
         return out
     # the fast side is the full current stack: order-maintenance index +
-    # the batched numpy conflict kernel (degrades to python when absent)
+    # the batched numpy conflict kernel
     return find_races_indexed(graph, kernel="numpy")
 
 
 def bench_analyze(graph: SegmentGraph, repeats: int) -> Dict[str, float]:
-    from repro.core.npkernel import HAVE_NUMPY
     for seg in graph.segments:
         seg.flush_accesses()
 
@@ -245,7 +244,7 @@ def bench_analyze(graph: SegmentGraph, repeats: int) -> Dict[str, float]:
     graph.hb_mode = "auto"
     return {"legacy_s": legacy, "fast_s": fast,
             "speedup": legacy / fast if fast else float("inf"),
-            "kernel": "numpy" if HAVE_NUMPY else "python",
+            "kernel": "numpy",
             "candidates": len(a)}
 
 

@@ -459,12 +459,14 @@ def _one_chaos_session(client: ServeClient, name: str, lines: List[bytes],
                 outcome["edge_error"] = ack.get("error", {})
                 break
         try:
-            # single supervised worker: distinct params from the clean
-            # session, so the content-addressed result cache cannot serve
-            # the clean document — the analysis truly re-runs under the
-            # armed plan and a planted hang meets the deadline/quarantine
-            # path instead of a cache hit
-            job_id = client.analyze(trace_id, mode="parallel", workers=1)
+            # the python kernel (the oracle, same verdict as the clean
+            # session's auto kernel) keys a distinct result, so the
+            # content-addressed result cache cannot serve the clean
+            # document — the analysis truly re-runs under the armed plan
+            # and a planted hang meets the deadline/quarantine path
+            # instead of a cache hit
+            job_id = client.analyze(trace_id, mode="parallel",
+                                    kernel="python")
             status_doc = client.wait(job_id, timeout=60.0)
         except TimeoutError as exc:
             outcome["hang"] = str(exc)
@@ -635,12 +637,11 @@ def _one_kill_mid_analysis(name: str, lines: List[bytes], shards: int,
         try:
             with ServeClient(srv.base_url) as client:
                 trace_id, _ = client.upload_trace(lines)
-                # wedge the single worker so the kill lands mid-run,
-                # before the terminal record can reach the journal
+                # wedge the analysis on its first chunk so the kill lands
+                # mid-run, before the terminal record can reach the journal
                 with inject_plan(FaultPlan.single("worker-hang", 0,
                                                   seconds=0.4, times=1)):
-                    job_id = client.analyze(trace_id, mode="parallel",
-                                            workers=1)
+                    job_id = client.analyze(trace_id, mode="parallel")
                     time.sleep(0.05)
                     srv.kill()
                     killed = True

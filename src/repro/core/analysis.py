@@ -1,7 +1,7 @@
 """Determinacy-race analysis passes (the paper's Algorithm 1).
 
-Three interchangeable implementations, all producing identical candidate
-sets (property-tested against each other):
+Two interchangeable implementations, producing identical candidate sets
+(property-tested against each other):
 
 * :func:`find_races_naive` — the faithful Algorithm 1: for every ordered pair
   of segments with no happens-before path, intersect
@@ -11,18 +11,19 @@ sets (property-tested against each other):
   over all write intervals finds only the segment pairs that actually share
   bytes, then applies the same happens-before filter.  This is what the
   harness uses for LULESH-sized graphs.
-* :func:`find_races_parallel` — the paper's future-work item ("the analysis
-  is embarrassingly parallel, but currently run sequentially"): the indexed
-  candidate set is partitioned across worker threads.  Benchmarked by the A1
-  ablation.
 
-The parallel pass runs under a supervisor (:func:`find_races_supervised`):
-each chunk of candidate pairs gets a bounded number of retries with
-exponential backoff and an optional per-chunk deadline; chunks that keep
-failing are quarantined rather than allowed to take down the whole pass, and
-the result is a :class:`PartialAnalysis` that states exactly how many
-candidate pairs went unchecked.  A worker exception therefore degrades the
-analysis instead of discarding every completed chunk.
+The indexed pass also runs under a supervisor (:func:`find_races_supervised`,
+the ``parallel`` analysis mode): the candidate pairs are cut into fixed
+chunks, checked one after another, and each chunk gets a bounded number of
+retries with exponential backoff and an optional cooperative per-chunk
+deadline.  Chunks that keep failing are quarantined rather than allowed to
+take down the whole pass, and the result is a :class:`PartialAnalysis` that
+states exactly how many candidate pairs went unchecked.  A chunk exception
+therefore degrades the analysis instead of discarding every completed chunk.
+Both passes share one front half (candidate pairs, kernel choice) and one
+pair checker (:class:`_PairPass`).  The paper's Section VII calls the pass
+embarrassingly parallel; a thread pool does not deliver that under the GIL,
+so the chunks run sequentially.
 
 The passes produce *raw* :class:`RaceCandidate` conflicts; the Section IV
 suppressions are applied afterwards by
@@ -38,12 +39,9 @@ before.  The naive pass stays unpruned as the oracle.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 import time
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.segments import Segment, SegmentGraph
 from repro.faults.inject import get_injector
@@ -207,10 +205,63 @@ def _resolve_kernel(reg, kernel: str, graph: SegmentGraph,
     from repro.core import npkernel
     used = npkernel.resolve_kernel(kernel, graph, n_pairs)
     if kernel == "numpy" and used == "python":
-        # requested but unavailable: degrade loudly, not fatally
+        # requested but not applicable: degrade loudly, not fatally
         reg.counter("analysis.kernel_fallbacks").inc()
     reg.gauge("analysis.kernel").set(used)
     return used
+
+
+@dataclass
+class _PairPass:
+    """The shared front half of the indexed and supervised passes: the
+    candidate pairs of one graph and the kernel that checks them."""
+
+    graph: SegmentGraph
+    segs: List[Segment]
+    pairs: List[Tuple[int, int]]
+    kctx: Optional[object] = None     # npkernel.KernelContext, numpy only
+
+    @classmethod
+    def prepare(cls, reg, graph: SegmentGraph, kernel: str,
+                suppression: Optional["SuppressionEngine"]) -> "_PairPass":
+        with reg.phase("analysis.prepare"):
+            graph.prepare_queries()
+        segs = [s for s in graph.segments if s.has_accesses]
+        with reg.phase("analysis.candidates"):
+            pairs = list(_candidate_pairs(segs, suppression))
+        reg.counter("analysis.candidate_pairs").inc(len(pairs))
+        run = cls(graph, segs, pairs)
+        if _resolve_kernel(reg, kernel, graph, len(pairs)) == "numpy":
+            from repro.core.npkernel import KernelContext
+            with reg.phase("analysis.prepare"):
+                run.kctx = KernelContext(graph, segs)
+        return run
+
+    def check(self, reg, pairs: Sequence[Tuple[int, int]]
+              ) -> Tuple[List[RaceCandidate], int]:
+        """HB-filter and intersect ``pairs``: (conflicts, ordered count).
+
+        The conflicts come out in pair order; callers sort the whole pass
+        once by :meth:`RaceCandidate.key`.
+        """
+        segs = self.segs
+        with reg.phase("analysis.pairs"):
+            if self.kctx is not None:
+                hits, n_ordered = self.kctx.check_pairs(pairs)
+                return [RaceCandidate(segs[i], segs[j], ranges)
+                        for i, j, ranges in hits], n_ordered
+            found: List[RaceCandidate] = []
+            n_ordered = 0
+            ordered = self.graph.ordered
+            for i, j in pairs:
+                s1, s2 = segs[i], segs[j]
+                if ordered(s1, s2):
+                    n_ordered += 1
+                    continue
+                ranges = _conflict_ranges(s1, s2)
+                if ranges:
+                    found.append(RaceCandidate(s1, s2, ranges))
+        return found, n_ordered
 
 
 def find_races_indexed(graph: SegmentGraph, *,
@@ -227,45 +278,18 @@ def find_races_indexed(graph: SegmentGraph, *,
     the result equals the naive pass's after the same filter.
     """
     reg = get_registry()
-    out: List[RaceCandidate] = []
     with reg.phase("analysis"):
-        with reg.phase("analysis.prepare"):
-            graph.prepare_queries()
-        segs = [s for s in graph.segments if s.has_accesses]
-        with reg.phase("analysis.candidates"):
-            pairs = _candidate_pairs(segs, suppression)
-        reg.counter("analysis.candidate_pairs").inc(len(pairs))
-        ordered = 0
-        used = _resolve_kernel(reg, kernel, graph, len(pairs))
-        if used == "numpy":
-            from repro.core.npkernel import KernelContext
-            with reg.phase("analysis.pairs"):
-                ctx = KernelContext(graph, segs)
-                found, ordered = ctx.check_pairs(list(pairs))
-                out = [RaceCandidate(segs[i], segs[j], ranges)
-                       for i, j, ranges in found]
-        else:
-            # iterate unsorted and sort only the (much smaller) surviving
-            # candidate list — segment ids increase with segs-list index, so
-            # sorting by key() yields the same deterministic order as sorting
-            # all pairs up front
-            with reg.phase("analysis.pairs"):
-                for i, j in pairs:
-                    s1, s2 = segs[i], segs[j]
-                    if graph.ordered(s1, s2):
-                        ordered += 1
-                        continue
-                    ranges = _conflict_ranges(s1, s2)
-                    if ranges:
-                        out.append(RaceCandidate(s1, s2, ranges))
+        run = _PairPass.prepare(reg, graph, kernel, suppression)
+        # the pairs are checked unsorted; only the (much smaller) conflict
+        # list is sorted, into the same order sorted pairs would give
+        out, ordered = run.check(reg, run.pairs)
         out.sort(key=lambda c: c.key())
-        _record_pass(reg, "indexed", len(pairs), ordered, len(out))
+        _record_pass(reg, "indexed", len(run.pairs), ordered, len(out))
     return out
 
 
-#: fixed chunk size for the parallel pass — independent of the worker count
-#: so the work partition (and therefore any fp-free result assembly) is
-#: deterministic on every machine
+#: candidate pairs per supervised chunk — the unit of retry and quarantine;
+#: fixed, so the partition (and any partial result) is the same everywhere
 _PARALLEL_CHUNK = 64
 
 
@@ -334,160 +358,84 @@ class PartialAnalysis:
 
 
 def find_races_supervised(graph: SegmentGraph, *,
-                          workers: Optional[int] = None,
                           deadline_s: Optional[float] = None,
                           max_retries: int = 2,
                           backoff_s: float = 0.01,
                           kernel: str = "auto",
                           suppression: Optional["SuppressionEngine"] = None
                           ) -> PartialAnalysis:
-    """The parallel pass under supervision.
+    """The indexed pass, chunked and run under a supervisor.
 
     ``suppression`` prunes candidate generation as in
-    :func:`find_races_indexed`.
-
-    Every chunk is attempted up to ``1 + max_retries`` times with
-    exponential backoff between attempts; a chunk whose worker raises (or
-    misses the per-chunk ``deadline_s``) on every attempt is quarantined
-    and its candidate pairs booked as unchecked — the chunks that *did*
-    complete are never discarded.  Faults are observed exactly where the
-    fault injector plants them (:meth:`FaultInjector.on_analysis_chunk`).
+    :func:`find_races_indexed`, and the fault-free candidate list is the
+    same.  The sorted candidate pairs are cut into fixed chunks, checked one
+    after another in the calling thread.  A chunk attempt that raises, or
+    that takes longer than ``deadline_s`` on a monotonic clock (a
+    cooperative deadline: the attempt runs to its end, and its result is
+    then discarded), fails.  Every chunk is attempted up to
+    ``1 + max_retries`` times, with exponential backoff between rounds; a
+    chunk that fails every attempt is quarantined and its candidate pairs
+    booked as unchecked — the chunks that *did* complete are never
+    discarded.  Faults are observed exactly where the fault injector plants
+    them (:meth:`FaultInjector.on_analysis_chunk`).
     """
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
     reg = get_registry()
     result = PartialAnalysis()
     with reg.phase("analysis"):
-        with reg.phase("analysis.prepare"):
-            graph.prepare_queries()       # materialize once, shared read-only
-            segs = [s for s in graph.segments if s.has_accesses]
-            for s in segs:
-                s.flush_accesses()        # no lazy tree builds inside workers
-                s.reads_set()
-                s.writes_set()
-        with reg.phase("analysis.candidates"):
-            pairs = sorted(_candidate_pairs(segs, suppression))
-        reg.counter("analysis.candidate_pairs").inc(len(pairs))
+        run = _PairPass.prepare(reg, graph, kernel, suppression)
+        pairs = sorted(run.pairs)
         result.pairs_total = len(pairs)
-        used = _resolve_kernel(reg, kernel, graph, len(pairs))
-        kctx = None
-        if used == "numpy":
-            from repro.core.npkernel import KernelContext
-            with reg.phase("analysis.prepare"):
-                # built single-threaded; chunk workers only read it
-                kctx = KernelContext(graph, segs)
-
-        def check(index: int, chunk: Sequence[Tuple[int, int]]
-                  ) -> Tuple[List[RaceCandidate], int]:
-            _FAULTS.on_analysis_chunk(index)   # may raise / hang on demand
-            found: List[RaceCandidate] = []
-            n_ordered = 0
-            # per-worker-thread phase: wall seconds sum across workers
-            with reg.phase("analysis.pairs"):
-                if kctx is not None:
-                    hits, n_ordered = kctx.check_pairs(chunk)
-                    found = [RaceCandidate(segs[i], segs[j], ranges)
-                             for i, j, ranges in hits]
-                    return found, n_ordered
-                for i, j in chunk:
-                    s1, s2 = segs[i], segs[j]
-                    if graph.ordered(s1, s2):
-                        n_ordered += 1
-                        continue
-                    ranges = _conflict_ranges(s1, s2)
-                    if ranges:
-                        found.append(RaceCandidate(s1, s2, ranges))
-            return found, n_ordered
-
-        if not pairs:
-            reg.gauge("analysis.workers_requested").set(workers)
-            reg.gauge("analysis.workers_effective").set(0)
-            _record_pass(reg, "parallel", 0, 0, 0)
-            return result
         chunks = [pairs[k:k + _PARALLEL_CHUNK]
                   for k in range(0, len(pairs), _PARALLEL_CHUNK)]
         result.chunks_total = len(chunks)
-        # a pool wider than the chunk list would silently idle the extra
-        # workers; clamp explicitly and record both counts so perf runs can
-        # see the effective parallelism, not the requested one
-        workers_eff = max(1, min(workers, len(chunks)))
-        reg.gauge("analysis.workers_requested").set(workers)
-        reg.gauge("analysis.workers_effective").set(workers_eff)
-        reg.histogram("analysis.chunk_pairs").observe(len(chunks))
+        if chunks:
+            reg.histogram("analysis.chunks").observe(len(chunks))
         out: List[RaceCandidate] = []
         ordered = 0
         pending = list(range(len(chunks)))
         last_error: Dict[int, str] = {}
         attempt = 0
         with reg.phase("analysis.supervise"):
-            pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers_eff)
-            try:
-                while pending:
-                    if attempt > 0:
-                        reg.counter("resilience.chunks_retried").inc(
-                            len(pending))
-                        result.retries += len(pending)
-                        time.sleep(backoff_s * (2 ** (attempt - 1)))
-                    futures = {idx: pool.submit(check, idx, chunks[idx])
-                               for idx in pending}
-                    failed: List[int] = []
-                    for idx, fut in futures.items():
-                        try:
-                            res, n_ordered = fut.result(timeout=deadline_s)
-                        except concurrent.futures.TimeoutError:
-                            result.deadline_hits += 1
-                            reg.counter(
-                                "resilience.analysis_deadline_hits").inc()
-                            last_error[idx] = (
-                                f"deadline exceeded ({deadline_s}s)")
-                            failed.append(idx)
-                            continue
-                        except Exception as exc:
-                            last_error[idx] = repr(exc)
-                            failed.append(idx)
-                            continue
-                        out.extend(res)
-                        ordered += n_ordered
-                        result.chunks_ok += 1
-                        result.pairs_checked += len(chunks[idx])
-                    pending = failed
-                    attempt += 1
-                    if pending and attempt > max_retries:
-                        for idx in pending:
-                            result.quarantined.append(QuarantinedChunk(
-                                index=idx, pairs=len(chunks[idx]),
-                                attempts=attempt,
-                                error=last_error.get(idx, "unknown")))
-                        reg.counter("resilience.chunks_quarantined").inc(
-                            len(pending))
-                        reg.counter("resilience.pairs_unchecked").inc(
-                            sum(len(chunks[idx]) for idx in pending))
-                        pending = []
-            finally:
-                # don't block on a worker stuck past its deadline; cancel
-                # anything not yet started and let stragglers finish alone
-                pool.shutdown(wait=deadline_s is None, cancel_futures=True)
+            while pending:
+                if attempt > 0:
+                    reg.counter("resilience.chunks_retried").inc(len(pending))
+                    result.retries += len(pending)
+                    time.sleep(backoff_s * (2 ** (attempt - 1)))
+                failed: List[int] = []
+                for idx in pending:
+                    start = time.monotonic()
+                    try:
+                        _FAULTS.on_analysis_chunk(idx)  # may raise / hang
+                        found, n_ordered = run.check(reg, chunks[idx])
+                    except Exception as exc:
+                        last_error[idx] = repr(exc)
+                        failed.append(idx)
+                        continue
+                    if deadline_s is not None \
+                            and time.monotonic() - start > deadline_s:
+                        result.deadline_hits += 1
+                        reg.counter("resilience.analysis_deadline_hits").inc()
+                        last_error[idx] = f"deadline exceeded ({deadline_s}s)"
+                        failed.append(idx)
+                        continue
+                    out.extend(found)
+                    ordered += n_ordered
+                    result.chunks_ok += 1
+                    result.pairs_checked += len(chunks[idx])
+                pending = failed
+                attempt += 1
+                if pending and attempt > max_retries:
+                    for idx in pending:
+                        result.quarantined.append(QuarantinedChunk(
+                            index=idx, pairs=len(chunks[idx]),
+                            attempts=attempt, error=last_error[idx]))
+                    reg.counter("resilience.chunks_quarantined").inc(
+                        len(pending))
+                    reg.counter("resilience.pairs_unchecked").inc(
+                        sum(len(chunks[idx]) for idx in pending))
+                    pending = []
         out.sort(key=lambda c: c.key())
         result.candidates = out
         _record_pass(reg, "parallel", result.pairs_checked, ordered,
                      len(out))
     return result
-
-
-def find_races_parallel(graph: SegmentGraph, *,
-                        workers: Optional[int] = None,
-                        kernel: str = "auto") -> List[RaceCandidate]:
-    """Parallelized candidate verification (paper Section VII future work).
-
-    Candidate generation stays sequential (it is a single cheap sweep); the
-    happens-before check + interval intersection of each candidate pair —
-    the dominant cost — is farmed out over a thread pool.  Produces the same
-    sorted candidate list as :func:`find_races_indexed` for any worker count.
-
-    Runs under the supervisor, so a worker exception costs (at most) the
-    failing chunk, never the completed ones; callers that need the explicit
-    coverage accounting should call :func:`find_races_supervised` directly.
-    """
-    return find_races_supervised(graph, workers=workers,
-                                 kernel=kernel).candidates

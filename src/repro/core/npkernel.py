@@ -27,16 +27,11 @@ harness), so ``auto`` may pick either purely on performance grounds.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.util.intervals import IntervalSet
-
-try:  # pragma: no cover - exercised via both arms of the parity tests
-    import numpy as _np
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - no-numpy environments
-    _np = None
-    HAVE_NUMPY = False
 
 #: Below this many candidate pairs the fixed numpy call overhead outweighs
 #: the vectorization win; ``analysis_kernel=auto`` stays on the Python loop.
@@ -198,10 +193,10 @@ class _Pool:
 class KernelContext:
     """Immutable per-pass state shared by every chunk of one analysis run.
 
-    Built single-threaded before the (possibly parallel) pair sweep so chunk
-    workers only read.  Holds the pooled per-segment interval arrays, the
-    segment hull arrays for the bounding-box prefilter, and whichever batched
-    happens-before backing applies:
+    Built once before the pair sweep; every chunk only reads it.  Holds the
+    pooled per-segment interval arrays, the segment hull arrays for the
+    bounding-box prefilter, and whichever batched happens-before backing
+    applies:
 
     * exact order-maintenance labels → two gathered ``int64`` arrays;
     * bitmask DP → a dense boolean matrix ``ordered[i, j]`` unpacked from
@@ -388,18 +383,18 @@ class KernelContext:
 def resolve_kernel(kernel: str, graph, n_pairs: int) -> str:
     """Map the ``analysis_kernel`` knob to the kernel actually used.
 
-    ``auto`` picks numpy only when it is importable, the pair count clears
-    :data:`AUTO_MIN_PAIRS`, and the graph is not in ``checked`` happens-before
+    ``auto`` picks numpy only when the pair count clears
+    :data:`AUTO_MIN_PAIRS` and the graph is not in ``checked`` happens-before
     mode (whose whole point is the per-query index-vs-DP cross-check the
-    batched mask would skip).  An explicit ``numpy`` request degrades to
-    ``python`` gracefully when numpy is absent.
+    batched mask would skip).  An explicit ``numpy`` request on a ``checked``
+    graph degrades to ``python`` too.
     """
     if kernel not in ("auto", "numpy", "python"):
         raise ValueError(f"unknown analysis_kernel {kernel!r} "
                          "(expected auto|numpy|python)")
     if kernel == "python":
         return "python"
-    if not HAVE_NUMPY or graph.hb_mode == "checked":
+    if graph.hb_mode == "checked":
         return "python"
     if kernel == "auto" and n_pairs < AUTO_MIN_PAIRS:
         return "python"

@@ -35,7 +35,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("trace", help="trace JSON from save_trace()")
     parser.add_argument("--mode", default="indexed",
                         choices=["naive", "indexed", "parallel"])
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--analysis-kernel", default="auto",
                         choices=["auto", "numpy", "python"],
                         help="conflict kernel for the pair sweep (auto picks "
@@ -81,7 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         reg_baseline = get_registry().mark()
     try:
         reports, stats = analyze_trace_with_stats(
-            args.trace, mode=args.mode, workers=args.workers,
+            args.trace, mode=args.mode,
             explain=args.explain, strict=args.strict_trace,
             kernel=args.analysis_kernel)
     except TraceError as exc:

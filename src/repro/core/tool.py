@@ -11,7 +11,9 @@ Wiring (mirrors Fig. 2 of the paper):
   ignore/instrument lists (IV-A), and records the rest into the current
   segment's interval trees (III-B).
 * ``finalize`` runs the determinacy-race pass (Algorithm 1), applies the TLS
-  and stack suppressions (IV-C/IV-D), and assembles the Listing-6 reports.
+  and stack suppressions (IV-C/IV-D), and assembles the Listing-6 reports —
+  through :func:`repro.core.trace.analyze`, the pipeline offline analysis
+  and the ingestion server share.
 
 Modeled defect — the Table II multi-thread ``deadlock``
 -------------------------------------------------------
@@ -33,17 +35,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.analysis import (PartialAnalysis, find_races_indexed,
-                                 find_races_naive, find_races_supervised)
+from repro.core.analysis import PartialAnalysis
+# perfbench/spans.py wraps these two bindings by name; finalize itself
+# reaches them through repro.core.trace.analyze
+from repro.core.analysis import find_races_indexed  # noqa: F401
 from repro.core.ompt_shim import TaskgrindOmptShim
-from repro.core.reports import (RaceReport, build_report, build_witness,
-                                dedupe_reports)
+from repro.core.reports import RaceReport
+from repro.core.reports import build_report  # noqa: F401
 from repro.core.segments import SegmentBuilder, SegmentModelConfig
 from repro.core.suppress import SuppressionConfig, SuppressionEngine
+from repro.core.trace import analyze
 from repro.machine.cost import ToolCost
 from repro.obs.metrics import get_registry
 from repro.obs.prof import get_profiler
-from repro.obs.tracer import get_tracer
 from repro.vex.elide import ElisionPlan
 from repro.vex.events import AccessEvent
 from repro.vex.tool import Tool
@@ -61,11 +65,12 @@ class TaskgrindOptions:
     suppression: SuppressionConfig = field(default_factory=SuppressionConfig)
     segment_model: SegmentModelConfig = field(default_factory=SegmentModelConfig)
     #: 'indexed' (default), 'naive' (faithful Algorithm 1) or 'parallel'
+    #: (the indexed pass chunked under the supervisor: retry, quarantine,
+    #: partial-analysis accounting; the chunks run sequentially)
     analysis: str = "indexed"
-    analysis_workers: int = 4
-    #: conflict kernel for the pair sweep: 'auto' (numpy when importable and
-    #: the pair count justifies it), 'numpy' or 'python' (the oracle; also
-    #: the graceful fallback when numpy is absent)
+    #: conflict kernel for the pair sweep: 'auto' (numpy when the pair count
+    #: justifies it), 'numpy' or 'python' (the oracle; also the fallback
+    #: under ``hb_mode='checked'``)
     analysis_kernel: str = "auto"
     #: collapse reports with identical segment-label pairs
     dedupe: bool = False
@@ -91,8 +96,8 @@ class TaskgrindOptions:
     #: every report carries a degraded-precision warning
     memory_budget: Optional[int] = None
     memory_budget_granule: int = 64
-    #: supervised parallel analysis: per-chunk wall deadline (None = none)
-    #: and retry budget before a failing chunk is quarantined
+    #: supervised analysis: cooperative per-chunk wall deadline (None =
+    #: none) and retry budget before a failing chunk is quarantined
     analysis_deadline_s: Optional[float] = None
     analysis_max_retries: int = 2
     #: two-phase detection (repro.replay): ``"full"`` records accesses and
@@ -387,74 +392,34 @@ class TaskgrindTool(Tool):
             reg.counter("replay.sync_runs").inc()
             reg.publish("taskgrind", self.stats())
             return self.reports
+        opts = self.options
         with reg.phase("finalize"):
-            graph = self.builder.graph
-            mode = self.options.analysis
-            if mode == "naive":
-                candidates = find_races_naive(graph)
-            elif mode == "parallel":
-                self.partial_analysis = find_races_supervised(
-                    graph, workers=self.options.analysis_workers,
-                    deadline_s=self.options.analysis_deadline_s,
-                    max_retries=self.options.analysis_max_retries,
-                    kernel=self.options.analysis_kernel,
-                    suppression=self.suppressor)
-                candidates = self.partial_analysis.candidates
-            else:
-                candidates = find_races_indexed(
-                    graph, kernel=self.options.analysis_kernel,
-                    suppression=self.suppressor)
-            self.raw_candidates = len(candidates)
-            flt = self.replay_filter
-            if flt is not None and flt.pairs:
-                kept = [c for c in candidates
-                        if flt.admits_pair(c.s1.id, c.s2.id)]
-                self.filter_pair_dropped = len(candidates) - len(kept)
-                candidates = kept
-            surviving = self.suppressor.filter_all(candidates)
-            with reg.phase("report"):
-                reports = [build_report(self.machine, c) for c in surviving]
-                if self.options.dedupe:
-                    reports = dedupe_reports(reports)
-                if self.options.suppression_file is not None:
-                    from repro.core.suppfile import load_suppressions
-                    supp = load_suppressions(self.options.suppression_file)
-                    reports, self.file_suppressed = supp.filter(reports)
-                if self.options.explain:
-                    with reg.phase("explain"):
-                        for r in reports:
-                            r.witness = build_witness(graph, r)
-                for note in self._degradation_notes():
-                    for r in reports:
-                        r.notes = r.notes + (note,)
-                tracer = get_tracer()
-                if tracer.enabled:
-                    for r in reports:
-                        tracer.race_flow(r.s1.id, r.s2.id,
-                                         t1=r.s1.thread_id,
-                                         t2=r.s2.thread_id, args={
-                            "label1": r.s1.label(), "label2": r.s2.label(),
-                            "bytes": r.ranges.total_bytes})
-            self.reports = reports
+            la = analyze(self.builder.graph, self.machine, self.suppressor,
+                         mode=opts.analysis, kernel=opts.analysis_kernel,
+                         deadline_s=opts.analysis_deadline_s,
+                         max_retries=opts.analysis_max_retries,
+                         replay_filter=self.replay_filter,
+                         dedupe=opts.dedupe,
+                         suppression_file=opts.suppression_file,
+                         explain=opts.explain,
+                         resilience=self._resilience())
+            self.partial_analysis = la.partial
+            self.raw_candidates = la.raw_candidates
+            self.filter_pair_dropped = la.pair_dropped
+            self.file_suppressed = la.file_suppressed
+            self.reports = la.reports
         reg.publish("taskgrind", self.stats())
-        return reports
+        return self.reports
 
-    def _degradation_notes(self) -> List[str]:
-        """Suppression-style warnings stamped on every report of a degraded
-        run — a report reader must never mistake coarsened or partial
-        evidence for the exact kind."""
-        notes: List[str] = []
-        if self.budget_tripped_at is not None:
-            notes.append(
-                f"degraded precision: memory budget "
-                f"({self.options.memory_budget} bytes) exceeded after "
-                f"{self.budget_tripped_at} accesses; later accesses "
-                f"recorded at {self.builder.coarse_granule}-byte granularity "
-                f"(byte ranges over-approximate)")
-        pa = self.partial_analysis
-        if pa is not None and not pa.complete:
-            notes.append("incomplete analysis: " + pa.summary())
-        return notes
+    def _resilience(self) -> dict:
+        """The run's memory-budget books (the stats ``resilience`` block)."""
+        builder = self.builder
+        return {
+            "memory_budget": self.options.memory_budget,
+            "budget_tripped_at": self.budget_tripped_at,
+            "coarse_granule": (builder.coarse_granule
+                               if builder is not None else 0),
+        }
 
     # -- observability --------------------------------------------------------------------
 
@@ -497,12 +462,7 @@ class TaskgrindTool(Tool):
             "raw_candidates": self.raw_candidates,
             "reports": len(self.reports),
         }
-        resilience: dict = {
-            "memory_budget": self.options.memory_budget,
-            "budget_tripped_at": self.budget_tripped_at,
-            "coarse_granule": (builder.coarse_granule
-                               if builder is not None else 0),
-        }
+        resilience = self._resilience()
         if self.partial_analysis is not None:
             resilience["analysis"] = self.partial_analysis.to_dict()
         doc["resilience"] = resilience

@@ -5,8 +5,8 @@ an embarrassingly parallel algorithm, but it is currently run sequentially
 within the Valgrind framework after the instrumented program execution."*
 The natural fix is to externalize it: dump the segment graph (with the
 per-segment interval trees and the suppression metadata) at program exit and
-run Algorithm 1 offline — sequentially, thread-parallel, or on another
-machine entirely.
+run Algorithm 1 offline, in another process or on another machine
+entirely.
 
 This module implements that pipeline:
 
@@ -18,6 +18,9 @@ This module implements that pipeline:
 * :func:`load_trace_salvaged` — the crash-tolerant reader: recovers the
   longest valid prefix of a truncated or corrupted trace and reports what
   was lost in a :class:`TraceCoverage` block instead of raising;
+* :func:`analyze` — the one analysis pipeline (Algorithm 1, suppressions,
+  reports, evidence notes), shared by the live tool, offline analysis and
+  the ingestion server;
 * :func:`analyze_trace` — run any analysis mode + suppressions offline.
 
 Trace format (version 2)
@@ -44,7 +47,8 @@ from typing import IO, List, Optional, Tuple
 
 from repro.core.analysis import (PartialAnalysis, find_races_indexed,
                                  find_races_naive, find_races_supervised)
-from repro.core.reports import RaceReport, build_report
+from repro.core.reports import (RaceReport, build_report, build_witness,
+                                dedupe_reports)
 from repro.core.segments import SegmentGraph
 from repro.core.suppress import SuppressionConfig, SuppressionEngine
 from repro.errors import (TraceCorruptionError, TraceFormatError,
@@ -54,6 +58,7 @@ from repro.machine.debuginfo import SourceLocation
 from repro.machine.memory import RegionKind
 from repro.machine.tls import TlsSnapshot
 from repro.obs.metrics import get_registry
+from repro.obs.tracer import get_tracer
 
 TRACE_VERSION = 2
 TRACE_SCHEMA = "taskgrind-trace/2"
@@ -766,58 +771,88 @@ def load_trace_full(path: str) -> Tuple[SegmentGraph, OfflineMachineView,
 
 @dataclass
 class LoadedAnalysis:
-    """Result of :func:`analyze_loaded`: reports + the pipeline's books."""
+    """Result of :func:`analyze`: reports + the pipeline's books."""
 
     reports: List[RaceReport]
     raw_candidates: int
     partial: Optional[PartialAnalysis]
     engine: SuppressionEngine
+    #: candidates dropped by the replay filter's pair scope
+    pair_dropped: int = 0
+    #: reports matched by the suppression file
+    file_suppressed: int = 0
 
 
-def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
-                   supp_flags: dict, *,
-                   coverage: Optional[TraceCoverage] = None,
-                   mode: str = "indexed", workers: int = 4,
-                   explain: bool = False, kernel: str = "auto",
-                   deadline_s: Optional[float] = None,
-                   max_retries: int = 2) -> LoadedAnalysis:
-    """Algorithm 1 + suppression + reporting on an already-loaded trace.
+def _budget_note(resilience: Optional[dict]) -> Optional[str]:
+    """The degraded-precision warning of a run whose memory budget tripped.
 
-    The shared back half of the offline pipeline: the file-based
-    :func:`analyze_trace_with_stats` and the ingestion server's job
-    executor (which assembles graphs from uploaded chunks and caches them
-    by content hash) both funnel through here, so their reports are
-    byte-identical for the same trace content.  ``deadline_s`` /
-    ``max_retries`` only apply to ``mode="parallel"`` (supervised).
+    Stamped on every report, like the salvage and partial-analysis notes,
+    so a reader never mistakes coarsened evidence for the exact kind.
+    ``resilience`` is the record run's ``taskgrind-stats/1`` resilience
+    block, live or as embedded in a trace's ``stats`` chunk; ``None`` when
+    the budget never tripped (or the block is missing).
     """
-    from repro.core.reports import build_witness
-    from repro.obs.tracer import get_tracer
+    if not resilience or resilience.get("budget_tripped_at") is None:
+        return None
+    return (f"degraded precision: memory budget "
+            f"({resilience['memory_budget']} bytes) exceeded after "
+            f"{resilience['budget_tripped_at']} accesses; later accesses "
+            f"recorded at {resilience['coarse_granule']}-byte granularity "
+            f"(byte ranges over-approximate)")
+
+
+def analyze(graph: SegmentGraph, machine, engine: SuppressionEngine, *,
+            mode: str = "indexed", kernel: str = "auto",
+            deadline_s: Optional[float] = None, max_retries: int = 2,
+            replay_filter=None, dedupe: bool = False,
+            suppression_file: Optional[str] = None, explain: bool = False,
+            resilience: Optional[dict] = None,
+            coverage: Optional[TraceCoverage] = None) -> LoadedAnalysis:
+    """Algorithm 1 + suppression + reporting: the one analysis pipeline.
+
+    The live tool's ``finalize`` (with the recording ``machine``), the
+    offline loaders and the ingestion server's jobs (with an
+    :class:`OfflineMachineView`) all run this, so their reports are
+    byte-identical for the same evidence.  The steps, in order: the
+    ``mode`` pass (``naive``, ``indexed`` or ``parallel`` — supervised, with
+    ``deadline_s`` / ``max_retries``), the ``replay_filter`` pair scope,
+    ``engine.filter_all``, then in the ``report`` phase: reports, optional
+    ``dedupe`` and ``suppression_file``, the evidence notes (memory budget
+    from ``resilience``, salvage ``coverage``, incomplete analysis), the
+    ``explain`` witnesses and the tracer's race flows.
+    """
     reg = get_registry()
     partial: Optional[PartialAnalysis] = None
-    config = SuppressionConfig(
-        suppress_tls=supp_flags.get("suppress_tls", True),
-        suppress_stack=supp_flags.get("suppress_stack", True))
-    engine = SuppressionEngine(view, config)
     if mode == "naive":
         candidates = find_races_naive(graph)
     elif mode == "parallel":
-        partial = find_races_supervised(graph, workers=workers,
-                                        deadline_s=deadline_s,
+        partial = find_races_supervised(graph, deadline_s=deadline_s,
                                         max_retries=max_retries,
                                         kernel=kernel, suppression=engine)
         candidates = partial.candidates
     else:
         candidates = find_races_indexed(graph, kernel=kernel,
                                         suppression=engine)
+    raw_candidates = len(candidates)
+    if replay_filter is not None and replay_filter.pairs:
+        candidates = [c for c in candidates
+                      if replay_filter.admits_pair(c.s1.id, c.s2.id)]
     surviving = engine.filter_all(candidates)
+    file_suppressed = 0
     with reg.phase("report"):
-        reports = [build_report(view, c) for c in surviving]
-        notes = []
+        reports = [build_report(machine, c) for c in surviving]
+        if dedupe:
+            reports = dedupe_reports(reports)
+        if suppression_file is not None:
+            from repro.core.suppfile import load_suppressions
+            reports, file_suppressed = \
+                load_suppressions(suppression_file).filter(reports)
+        notes = [_budget_note(resilience)]
         if coverage is not None and not coverage.complete:
             notes.append("incomplete evidence: " + coverage.summary())
         if partial is not None and not partial.complete:
             notes.append("incomplete analysis: " + partial.summary())
-        for note in notes:
+        for note in filter(None, notes):
             for r in reports:
                 r.notes = r.notes + (note,)
         if explain:
@@ -832,18 +867,45 @@ def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
                                  args={
                     "label1": r.s1.label(), "label2": r.s2.label(),
                     "bytes": r.ranges.total_bytes})
-    return LoadedAnalysis(reports=reports, raw_candidates=len(candidates),
-                          partial=partial, engine=engine)
+    return LoadedAnalysis(reports=reports, raw_candidates=raw_candidates,
+                          partial=partial, engine=engine,
+                          pair_dropped=raw_candidates - len(candidates),
+                          file_suppressed=file_suppressed)
+
+
+def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
+                   supp_flags: dict, *,
+                   coverage: Optional[TraceCoverage] = None,
+                   mode: str = "indexed",
+                   explain: bool = False, kernel: str = "auto",
+                   deadline_s: Optional[float] = None,
+                   max_retries: int = 2,
+                   record_stats: Optional[dict] = None) -> LoadedAnalysis:
+    """:func:`analyze` on an already-loaded trace.
+
+    Builds the suppression engine from the trace's ``supp_flags``.  The
+    file-based :func:`analyze_trace_with_stats` and the ingestion server's
+    job executor (which assembles graphs from uploaded chunks and caches
+    them by content hash) both funnel through here.  ``record_stats`` is
+    the trace's embedded ``stats`` chunk; its resilience block carries the
+    record run's memory-budget books.
+    """
+    config = SuppressionConfig(
+        suppress_tls=supp_flags.get("suppress_tls", True),
+        suppress_stack=supp_flags.get("suppress_stack", True))
+    return analyze(graph, view, SuppressionEngine(view, config), mode=mode,
+                   kernel=kernel, deadline_s=deadline_s,
+                   max_retries=max_retries, explain=explain,
+                   resilience=(record_stats or {}).get("resilience"),
+                   coverage=coverage)
 
 
 def analyze_trace(path: str, *, mode: str = "indexed",
-                  workers: int = 4,
                   explain: bool = False,
                   strict: bool = False,
                   kernel: str = "auto") -> List[RaceReport]:
     """The full offline pipeline: load, Algorithm 1, suppress, report."""
     reports, _stats = analyze_trace_with_stats(path, mode=mode,
-                                               workers=workers,
                                                explain=explain,
                                                strict=strict,
                                                kernel=kernel)
@@ -851,7 +913,7 @@ def analyze_trace(path: str, *, mode: str = "indexed",
 
 
 def analyze_trace_with_stats(path: str, *, mode: str = "indexed",
-                             workers: int = 4, explain: bool = False,
+                             explain: bool = False,
                              strict: bool = False, kernel: str = "auto"
                              ) -> Tuple[List[RaceReport], dict]:
     """The offline pipeline with a per-phase stats document.
@@ -887,8 +949,8 @@ def analyze_trace_with_stats(path: str, *, mode: str = "indexed",
                     reg.counter("resilience.trace_chunks_lost").inc(
                         coverage.chunks_corrupt)
         la = analyze_loaded(graph, view, supp_flags, coverage=coverage,
-                            mode=mode, workers=workers, explain=explain,
-                            kernel=kernel)
+                            mode=mode, explain=explain, kernel=kernel,
+                            record_stats=record_stats)
     reports = la.reports
     stats = {
         "schema": "taskgrind-offline-stats/1",

@@ -82,7 +82,6 @@ class ServeConfig:
     port: int = 0                      # 0: kernel-assigned (tests/bench)
     shards: int = 4
     analysis_mode: str = "parallel"    # supervised: deadline/retry/quarantine
-    analysis_workers: int = 2
     deadline_s: Optional[float] = None
     max_retries: int = 2
     kernel: str = "auto"
@@ -274,7 +273,6 @@ class TraceService:
         cfg = self.config
         params = {
             "mode": opts.get("mode", cfg.analysis_mode),
-            "workers": int(opts.get("workers", cfg.analysis_workers)),
             "deadline_s": opts.get("deadline_s", cfg.deadline_s),
             "max_retries": int(opts.get("max_retries", cfg.max_retries)),
             "kernel": opts.get("kernel", cfg.kernel),
@@ -296,7 +294,7 @@ class TraceService:
         reg = get_registry()
         p = job.params
         key = BuildCache.result_key(
-            job.content_hash, mode=p["mode"], workers=p["workers"],
+            job.content_hash, mode=p["mode"],
             deadline_s=p["deadline_s"], max_retries=p["max_retries"],
             kernel=p["kernel"], explain=p["explain"])
         cached = self.cache.get_result(key)
@@ -312,10 +310,11 @@ class TraceService:
             la = analyze_loaded(salvaged.graph, salvaged.view,
                                 salvaged.suppression,
                                 coverage=salvaged.coverage,
-                                mode=p["mode"], workers=p["workers"],
+                                mode=p["mode"],
                                 explain=p["explain"], kernel=p["kernel"],
                                 deadline_s=p["deadline_s"],
-                                max_retries=p["max_retries"])
+                                max_retries=p["max_retries"],
+                                record_stats=salvaged.stats)
         with job.span("report"):
             doc = {
                 "schema": REPORT_SCHEMA,

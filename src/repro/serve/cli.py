@@ -37,7 +37,6 @@ from repro.serve.wal import FSYNC_POLICIES
 def _build_config(args: argparse.Namespace) -> ServeConfig:
     return ServeConfig(host=args.host, port=args.port, shards=args.shards,
                        analysis_mode=args.mode,
-                       analysis_workers=args.workers,
                        deadline_s=args.deadline_s,
                        max_retries=args.max_retries,
                        state_dir=args.state_dir,
@@ -56,8 +55,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     choices=("parallel", "indexed", "naive"),
                     help="default analysis mode for jobs (default: "
                          "parallel — supervised with quarantine)")
-    ap.add_argument("--workers", type=int, default=2,
-                    help="supervised analysis workers per job (default: 2)")
     ap.add_argument("--deadline-s", type=float, default=None,
                     help="per-chunk supervised deadline (default: none)")
     ap.add_argument("--max-retries", type=int, default=2)

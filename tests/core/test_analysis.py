@@ -1,12 +1,13 @@
 """Tests for the determinacy-race passes (Algorithm 1 + variants).
 
-Includes property tests asserting the three implementations (naive, indexed,
-parallel) produce identical candidate sets on random graphs.
+Includes property tests asserting the three passes (naive, indexed,
+supervised) produce identical candidate sets on random graphs.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analysis import (find_races_indexed, find_races_naive, find_races_parallel)
+from repro.core.analysis import (find_races_indexed, find_races_naive,
+                                 find_races_supervised)
 from repro.core.segments import SegmentGraph
 
 
@@ -84,7 +85,8 @@ class TestIndexedEquivalence:
         g, _ = make_graph(6, [(0, 1), (2, 3)],
                           [(i, (i % 3) * 8, (i % 3) * 8 + 12, i % 2 == 0)
                            for i in range(6)])
-        assert keys(find_races_naive(g)) == keys(find_races_parallel(g))
+        assert keys(find_races_naive(g)) \
+            == keys(find_races_supervised(g).candidates)
 
     @given(
         st.integers(2, 10),
@@ -100,42 +102,7 @@ class TestIndexedEquivalence:
         g, _ = make_graph(n, edges, accs)
         expected = keys(find_races_naive(g))
         assert keys(find_races_indexed(g)) == expected
-        assert keys(find_races_parallel(g, workers=3)) == expected
-
-
-class TestParallelWorkerClamp:
-    """The pool is clamped to the chunk count and both figures are logged."""
-
-    def _gauges(self):
-        from repro.obs.metrics import get_registry
-        reg = get_registry()
-        return (reg.gauge("analysis.workers_requested").value,
-                reg.gauge("analysis.workers_effective").value)
-
-    def test_workers_beyond_chunks_are_clamped(self):
-        # 3 conflicting pairs -> 1 chunk of pairs; 16 requested workers
-        g, _ = make_graph(3, [], [(0, 0, 8, True), (1, 0, 8, True),
-                                  (2, 0, 8, True)])
-        cands = find_races_parallel(g, workers=16)
-        assert len(cands) == 3
-        requested, effective = self._gauges()
-        assert requested == 16
-        assert effective == 1
-
-    def test_effective_zero_when_no_pairs(self):
-        g, _ = make_graph(2, [], [(0, 0, 8, True), (1, 100, 108, True)])
-        assert find_races_parallel(g, workers=8) == []
-        requested, effective = self._gauges()
-        assert requested == 8
-        assert effective == 0
-
-    def test_result_identical_across_worker_counts(self):
-        g, _ = make_graph(5, [(0, 1)],
-                          [(i, (i % 2) * 8, (i % 2) * 8 + 8, True)
-                           for i in range(5)])
-        expected = keys(find_races_parallel(g, workers=1))
-        for w in (2, 3, 64):
-            assert keys(find_races_parallel(g, workers=w)) == expected
+        assert keys(find_races_supervised(g).candidates) == expected
 
 
 class TestScaling:

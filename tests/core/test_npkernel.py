@@ -12,7 +12,8 @@ np = pytest.importorskip("numpy")
 from hypothesis import given, settings, strategies as st
 
 from repro.core import npkernel
-from repro.core.analysis import find_races_indexed, find_races_supervised
+from repro.core.analysis import (find_races_indexed, find_races_naive,
+                                 find_races_supervised)
 from repro.core.npkernel import (KernelContext, build_segment_arrays,
                                  coalesce_arrays, conflict_ranges_arrays,
                                  intersect_arrays, resolve_kernel,
@@ -138,8 +139,8 @@ class TestKernelParity:
                     for i in range(12)]
         g1 = make_graph(12, [(0, 1), (2, 3)], accesses)
         g2 = make_graph(12, [(0, 1), (2, 3)], accesses)
-        a = find_races_supervised(g1, workers=2, kernel="python")
-        b = find_races_supervised(g2, workers=2, kernel="numpy")
+        a = find_races_supervised(g1, kernel="python")
+        b = find_races_supervised(g2, kernel="numpy")
         assert keys(a.candidates) == keys(b.candidates)
 
     def test_unbatched_fallback_matches(self, monkeypatch):
@@ -192,7 +193,15 @@ class TestResolveKernel:
         with pytest.raises(ValueError):
             resolve_kernel("cuda", self._graph(), 10)
 
-    def test_numpy_absent_degrades(self, monkeypatch):
-        monkeypatch.setattr(npkernel, "HAVE_NUMPY", False)
-        assert resolve_kernel("numpy", self._graph(), 10_000) == "python"
-        assert resolve_kernel("auto", self._graph(), 10_000) == "python"
+    def test_checked_numpy_request_degrades_loudly(self):
+        # the one surviving fallback: an explicit numpy request on a
+        # checked graph runs python and counts the fallback
+        from repro.obs.metrics import get_registry
+        reg = get_registry()
+        g = self._graph()
+        g.hb_mode = "checked"
+        before = reg.counter("analysis.kernel_fallbacks").value
+        assert keys(find_races_indexed(g, kernel="numpy")) \
+            == keys(find_races_naive(self._graph()))
+        assert reg.counter("analysis.kernel_fallbacks").value == before + 1
+        assert reg.gauge("analysis.kernel").value == "python"

@@ -24,7 +24,7 @@ from typing import List, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro.core.analysis import (find_races_indexed, find_races_naive,
-                                 find_races_parallel)
+                                 find_races_supervised)
 from repro.core.segments import Segment
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.machine.machine import Machine
@@ -215,11 +215,10 @@ class TestAnalysisParity:
         naive = _canon(find_races_naive(graph))
         indexed = _canon(find_races_indexed(graph))
         assert naive == indexed
-        for workers in (1, 2, 4):
-            par = find_races_parallel(graph, workers=workers)
-            assert _canon(par) == indexed
-            # the parallel pass also promises a deterministic sorted order
-            assert [c.key() for c in par] == sorted(c.key() for c in par)
+        sup = find_races_supervised(graph).candidates
+        assert _canon(sup) == indexed
+        # the supervised pass also promises a deterministic sorted order
+        assert [c.key() for c in sup] == sorted(c.key() for c in sup)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=12, deadline=None)

@@ -60,7 +60,7 @@ def test_pruned_equals_naive_oracle(path, cell):
     oracle = _reports_json(machine, find_races_naive(graph), config)
     pruned = find_races_indexed(graph, suppression=engine)
     assert _reports_json(machine, pruned, config) == oracle
-    partial = find_races_supervised(graph, workers=2, suppression=engine)
+    partial = find_races_supervised(graph, suppression=engine)
     assert _reports_json(machine, partial.candidates, config) == oracle
     segs = [s for s in graph.segments if s.has_accesses]
     assert _candidate_pairs(segs, engine) <= _candidate_pairs(segs)

@@ -1,17 +1,21 @@
-"""Supervised parallel analysis + the memory-budget degradation path."""
+"""Supervised analysis + the memory-budget degradation path."""
+
+import json
 
 import pytest
 
 import repro.core.analysis as analysis_mod
-from repro.core.analysis import (find_races_naive, find_races_parallel,
-                                 find_races_supervised)
-from repro.core.reports import format_report
+from repro.core.analysis import find_races_naive, find_races_supervised
+from repro.core.reports import format_report, report_to_dict, reports_to_json
 from repro.core.segments import SegmentBuilder
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
+from repro.core.trace import analyze_trace, save_trace
 from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
 from repro.machine.machine import Machine
 from repro.openmp.api import make_env
+from repro.serve import ServeClient, ServeConfig, ServerThread
+from repro.serve.client import read_trace_lines
 
 
 def racy_listing(env):
@@ -51,7 +55,7 @@ def tiny_chunks(monkeypatch):
 
 class TestSupervisor:
     def test_fault_free_run_is_complete(self, graph):
-        partial = find_races_supervised(graph, workers=2)
+        partial = find_races_supervised(graph)
         assert partial.complete
         assert partial.unchecked_pairs == 0
         assert partial.quarantined == []
@@ -64,7 +68,7 @@ class TestSupervisor:
         that chunk, not the whole analysis."""
         full = _cand_keys(find_races_naive(graph))
         with inject_plan(FaultPlan.single("worker-exc", 0)):
-            partial = find_races_supervised(graph, workers=2, max_retries=1)
+            partial = find_races_supervised(graph, max_retries=1)
         assert not partial.complete
         assert [q.index for q in partial.quarantined] == [0]
         assert partial.unchecked_pairs == 1
@@ -76,30 +80,44 @@ class TestSupervisor:
     def test_retry_recovers_a_transient_fault(self, graph, tiny_chunks):
         full = _cand_keys(find_races_naive(graph))
         with inject_plan(FaultPlan.single("worker-exc", 0, times=1)):
-            partial = find_races_supervised(graph, workers=2, max_retries=2)
+            partial = find_races_supervised(graph, max_retries=2)
         assert partial.complete
         assert partial.retries >= 1
         assert _cand_keys(partial.candidates) == full
 
     def test_hang_hits_deadline_and_quarantines(self, graph, tiny_chunks):
         with inject_plan(FaultPlan.single("worker-hang", 0, seconds=0.5)):
-            partial = find_races_supervised(graph, workers=2,
-                                            deadline_s=0.05, max_retries=0)
+            partial = find_races_supervised(graph, deadline_s=0.05,
+                                            max_retries=0)
         assert partial.deadline_hits >= 1
         assert not partial.complete
         assert any("deadline" in q.error for q in partial.quarantined)
 
+    def test_hang_then_retry_succeeds(self, graph, tiny_chunks):
+        """The deadline is cooperative: the overrunning attempt finishes,
+        its result is discarded, and the retry completes the chunk."""
+        clean = find_races_supervised(graph)
+        with inject_plan(FaultPlan.single("worker-hang", 0, times=1,
+                                          seconds=0.2)):
+            partial = find_races_supervised(graph, deadline_s=0.05,
+                                            max_retries=1)
+        assert partial.deadline_hits == 1
+        assert partial.retries == 1
+        assert partial.complete
+        assert _cand_keys(partial.candidates) \
+            == _cand_keys(clean.candidates)
+
     def test_parallel_entry_point_delegates(self, graph, tiny_chunks):
-        """find_races_parallel rides the supervisor: a transient worker
-        death no longer discards every completed chunk."""
+        """The supervised pass's candidates survive a transient chunk
+        failure: a retry does not discard the completed chunks."""
         full = _cand_keys(find_races_naive(graph))
         with inject_plan(FaultPlan.single("worker-exc", 0, times=1)):
-            candidates = find_races_parallel(graph, workers=2)
+            candidates = find_races_supervised(graph).candidates
         assert _cand_keys(candidates) == full
 
     def test_partial_analysis_document(self, graph, tiny_chunks):
         with inject_plan(FaultPlan.single("worker-exc", 0)):
-            partial = find_races_supervised(graph, workers=2, max_retries=0)
+            partial = find_races_supervised(graph, max_retries=0)
         doc = partial.to_dict()
         assert doc["schema"] == "taskgrind-partial-analysis/1"
         assert doc["complete"] is False
@@ -125,8 +143,7 @@ class TestToolIntegration:
         return tool, tool.finalize()
 
     def test_incomplete_analysis_stamps_reports(self, tiny_chunks):
-        opts = TaskgrindOptions(analysis="parallel", analysis_workers=2,
-                                analysis_max_retries=0)
+        opts = TaskgrindOptions(analysis="parallel", analysis_max_retries=0)
         with inject_plan(FaultPlan.single("worker-exc", 0)):
             tool, reports = self._run(opts)
         assert tool.partial_analysis is not None
@@ -152,6 +169,27 @@ class TestToolIntegration:
         resilience = tool.stats()["resilience"]
         assert resilience["budget_tripped_at"] == tool.budget_tripped_at
         assert resilience["coarse_granule"] == 64
+
+    def test_budget_note_survives_offline(self, tmp_path):
+        """Offline and served analyses of a budget-tripped trace stamp the
+        same degraded-precision note as the live run (read from the
+        trace's embedded stats)."""
+        def prime(tool):
+            tool._budget_check_every = 1
+        tool, reports = self._run(TaskgrindOptions(memory_budget=1),
+                                  prime=prime)
+        path = str(tmp_path / "budget.trace.json")
+        save_trace(tool, tool.machine, path)
+        assert reports_to_json(analyze_trace(path)) \
+            == reports_to_json(reports)
+        with ServerThread(ServeConfig()) as srv, \
+                ServeClient(srv.base_url) as client:
+            trace_id, _ = client.upload_trace(read_trace_lines(path))
+            job_id = client.analyze(trace_id)
+            client.wait(job_id, timeout=60.0)
+            _, served = client.report(job_id)
+        assert json.dumps(served["errors"], sort_keys=True) == json.dumps(
+            [report_to_dict(r) for r in reports], sort_keys=True)
 
     def test_no_budget_means_no_notes(self):
         tool, reports = self._run(TaskgrindOptions())

@@ -124,9 +124,9 @@ class TestSalvagedTraceParity:
 
     def test_supervised_partial_parity(self, trace_path):
         a, sa = analyze_trace_with_stats(trace_path, mode="parallel",
-                                         workers=2, kernel="python")
+                                         kernel="python")
         b, sb = analyze_trace_with_stats(trace_path, mode="parallel",
-                                         workers=2, kernel="numpy")
+                                         kernel="numpy")
         assert report_keys(a) == report_keys(b)
         assert sa["coverage"]["complete"] and sb["coverage"]["complete"]
 
