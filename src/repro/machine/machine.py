@@ -53,12 +53,10 @@ class ThreadContext:
     def location(self) -> Optional[SourceLocation]:
         if not self.symbols:
             return None
-        sym = self.symbols[-1]
-        return SourceLocation(sym.file, self.lines[-1], sym.name)
+        return self.symbols[-1].location(self.lines[-1])
 
     def call_stack(self) -> Tuple[SourceLocation, ...]:
-        return tuple(SourceLocation(s.file, ln, s.name)
-                     for s, ln in zip(self.symbols, self.lines))
+        return tuple(s.location(ln) for s, ln in zip(self.symbols, self.lines))
 
 
 class Machine:

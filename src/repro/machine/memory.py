@@ -23,6 +23,7 @@ stacks           ``0x7f00_0000_0000``  per-thread stacks (grow downward)
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -85,6 +86,8 @@ class AddressSpace:
 
     def __init__(self) -> None:
         self._regions: List[Region] = []          # sorted by base
+        self._bases: List[int] = []               # region bases, same order
+        self._ends: List[int] = []                # region ends, same order
         self._mapped = IntervalSet()
         self._values: Dict[int, Tuple[int, object]] = {}   # addr -> (size, value)
 
@@ -95,43 +98,31 @@ class AddressSpace:
         if self._mapped.overlaps_range(region.base, region.end):
             raise ValueError(f"mapping overlap: {region!r}")
         self._mapped.add(region.base, region.end)
-        # insert sorted by base
-        lo, hi = 0, len(self._regions)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._regions[mid].base < region.base:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._regions.insert(lo, region)
+        i = bisect_left(self._bases, region.base)
+        self._regions.insert(i, region)
+        self._bases.insert(i, region.base)
+        self._ends.insert(i, region.end)
         return region
 
     def unmap_region(self, region: Region) -> None:
-        self._regions.remove(region)
+        i = self._regions.index(region)
+        del self._regions[i], self._bases[i], self._ends[i]
         self._mapped.remove(region.base, region.end)
-        for addr in [a for a in self._values if region.contains(a)]:
-            del self._values[addr]
+        self.clear_range(region.base, region.end)
 
     def region_at(self, addr: int) -> Optional[Region]:
         """The region containing ``addr``, or ``None``."""
-        lo, hi = 0, len(self._regions)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._regions[mid].base <= addr:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
+        i = bisect_right(self._bases, addr) - 1
+        if i < 0 or addr >= self._ends[i]:
             return None
-        r = self._regions[lo - 1]
-        return r if r.contains(addr) else None
+        return self._regions[i]
 
     def check_mapped(self, addr: int, size: int, kind: str) -> Region:
         """Raise :class:`SegmentationFault` unless ``[addr, addr+size)`` is mapped."""
-        r = self.region_at(addr)
-        if r is None or not r.contains(addr, size):
+        i = bisect_right(self._bases, addr) - 1
+        if i < 0 or addr >= self._ends[i] or addr + size > self._ends[i]:
             raise SegmentationFault(addr, size, kind)
-        return r
+        return self._regions[i]
 
     @property
     def regions(self) -> List[Region]:
@@ -142,18 +133,37 @@ class AddressSpace:
     def store(self, addr: int, size: int, value: object) -> None:
         """Store a scalar ``value`` at ``addr`` (mapping must exist)."""
         self.check_mapped(addr, size, "write")
-        self._values[addr] = (size, value)
+        self.poke(addr, size, value)
 
     def load(self, addr: int, size: int, default: object = 0) -> object:
         """Load the scalar previously stored at ``addr`` (0 if never written)."""
         self.check_mapped(addr, size, "read")
+        return self.peek(addr, default)
+
+    def poke(self, addr: int, size: int, value: object) -> None:
+        """:meth:`store` without the mapping check, for an access the
+        instrumentation hub has already checked."""
+        self._values[addr] = (size, value)
+
+    def peek(self, addr: int, default: object = 0) -> object:
+        """:meth:`load` without the mapping check, for an access the
+        instrumentation hub has already checked."""
         entry = self._values.get(addr)
         return entry[1] if entry is not None else default
 
     def clear_range(self, lo: int, hi: int) -> None:
-        """Drop stored scalars in ``[lo, hi)`` (used on frame pop / free)."""
-        for addr in [a for a in self._values if lo <= a < hi]:
-            del self._values[addr]
+        """Drop stored scalars in ``[lo, hi)`` (frame pop, free, TLS unmap).
+
+        Probes each address of the range when it is smaller than the store,
+        so popping a frame costs the frame's size, not the heap's scalars.
+        """
+        values = self._values
+        if hi - lo <= len(values):
+            for addr in range(lo, hi):
+                values.pop(addr, None)
+        else:
+            for addr in [a for a in values if lo <= a < hi]:
+                del values[addr]
 
     # -- introspection ----------------------------------------------------------
 

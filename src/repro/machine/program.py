@@ -71,17 +71,16 @@ class Buffer:
     def write(self, index: int = 0, value: object = None, *,
               line: Optional[int] = None, atomic: bool = False) -> None:
         addr = self.index_addr(index)
-        self.ctx.write_mem(addr, self.elem, line=line, atomic=atomic,
-                           site=self.site)
+        self.ctx._access(addr, self.elem, True, line, atomic, self.site)
         if value is not None:
-            self.ctx.machine.space.store(addr, self.elem, value)
+            # the hub has checked the mapping
+            self.ctx.machine.space.poke(addr, self.elem, value)
 
     def read(self, index: int = 0, *, line: Optional[int] = None,
              atomic: bool = False) -> object:
         addr = self.index_addr(index)
-        self.ctx.read_mem(addr, self.elem, line=line, atomic=atomic,
-                          site=self.site)
-        return self.ctx.machine.space.load(addr, self.elem)
+        self.ctx._access(addr, self.elem, False, line, atomic, self.site)
+        return self.ctx.machine.space.peek(addr)
 
     # -- bulk interval access ----------------------------------------------------
 
@@ -234,21 +233,26 @@ class GuestContext:
 
     def read_mem(self, addr: int, size: int, *, line: Optional[int] = None,
                  atomic: bool = False, site=None) -> None:
-        if line is not None:
-            self.line(line)
-        tctx = self._tctx()
-        self.machine.instrumentation.access(
-            addr, size, False, thread=self.machine.scheduler.current(),
-            symbol=tctx.symbol, loc=tctx.location, atomic=atomic, site=site)
+        self._access(addr, size, False, line, atomic, site)
 
     def write_mem(self, addr: int, size: int, *, line: Optional[int] = None,
                   atomic: bool = False, site=None) -> None:
+        self._access(addr, size, True, line, atomic, site)
+
+    def _access(self, addr: int, size: int, is_write: bool,
+                line: Optional[int], atomic: bool, site) -> None:
+        """One guest access: resolve the thread and its context once, then
+        hand the access to the instrumentation hub."""
+        machine = self.machine
+        thread = machine.scheduler.current()
+        tctx = machine.context(thread.id)
         if line is not None:
-            self.line(line)
-        tctx = self._tctx()
-        self.machine.instrumentation.access(
-            addr, size, True, thread=self.machine.scheduler.current(),
-            symbol=tctx.symbol, loc=tctx.location, atomic=atomic, site=site)
+            if not tctx.lines:
+                raise MachineError("line() outside any function")
+            tctx.lines[-1] = line
+        machine.instrumentation.access(
+            addr, size, is_write, thread=thread, symbol=tctx.symbol,
+            loc=tctx.location, atomic=atomic, site=site)
 
     # -- misc -------------------------------------------------------------------------
 
